@@ -62,6 +62,39 @@ func pickQueue(t *testing.T, r *Router, group int, url string) *serve.Queue {
 	return nil
 }
 
+// pinQueue fills q — one dispatcher, depth queue slots — with jobs that
+// block on the backend, and waits until it is saturated. The first job
+// must be executing before the rest are submitted: submitted at once,
+// they can fill the queue before the dispatcher pulls one, and the last
+// is then rejected instead of queued.
+func pinQueue(t *testing.T, q *serve.Queue, wg *sync.WaitGroup, depth int) {
+	t.Helper()
+	req := rpc.ExecuteRequest{State: tasks.State{Task: "minimax", Size: 1}}
+	submit := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = q.Submit(context.Background(), req)
+		}()
+	}
+	wait := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: queued=%d executing=%d", what, q.Queued(), q.Executing())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	submit()
+	wait("first job never dispatched", func() bool { return q.Executing() == 1 })
+	for i := 0; i < depth; i++ {
+		submit()
+	}
+	wait("queue never saturated", q.Saturated)
+}
+
 // TestBackpressureFence is the serving-layer fence: a backend whose
 // admission queue is pinned at capacity (limit + depth all blocked) is
 // never picked, picks land on the unsaturated peer, and once the
@@ -89,22 +122,8 @@ func TestBackpressureFence(t *testing.T) {
 	if q == nil {
 		t.Fatal("no admission queue on picked backend")
 	}
-	req := rpc.ExecuteRequest{State: tasks.State{Task: "minimax", Size: 1}}
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = q.Submit(context.Background(), req)
-		}()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !q.Saturated() {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never saturated: queued=%d executing=%d", q.Queued(), q.Executing())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	pinQueue(t, q, &wg, 2)
 
 	// The fence: concurrent pickers must all steer to the fast backend.
 	var pickers sync.WaitGroup
@@ -145,7 +164,7 @@ func TestBackpressureFence(t *testing.T) {
 	// Drain and verify the backend rejoins rotation.
 	close(release)
 	wg.Wait()
-	deadline = time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(2 * time.Second)
 	for {
 		p, err := r.Pick(1)
 		if err != nil {
@@ -178,27 +197,13 @@ func TestPickAllSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := pickQueue(t, r, 1, slow.URL)
-	req := rpc.ExecuteRequest{State: tasks.State{Task: "minimax", Size: 1}}
 	var wg sync.WaitGroup
 	// Teardown order matters: release the blocked handler first, then
 	// wait for the submits, then (the blockingBackend cleanup) close
 	// the server. Cleanups run LIFO.
 	t.Cleanup(wg.Wait)
 	t.Cleanup(func() { close(release) })
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = q.Submit(context.Background(), req)
-		}()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !q.Saturated() {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never saturated")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	pinQueue(t, q, &wg, 1)
 	_, err := r.Pick(1)
 	if !errors.Is(err, ErrGroupSaturated) {
 		t.Fatalf("Pick = %v, want ErrGroupSaturated", err)

@@ -136,9 +136,11 @@ func (r *Regions) MarkDown(name string) error { return r.setState(name, RegionDo
 func (r *Regions) MarkUp(name string) error { return r.setState(name, RegionUp) }
 
 // Remove deregisters a region entirely. It refuses while calls are in
-// flight: the removal is published first (fencing new picks), then the
-// reservation count is rechecked — if stragglers hold reservations the
-// removal rolls back and the caller retries after they drain.
+// flight: the reservation count is checked before anything is
+// published, so a busy region never vanishes from Inflight or /stats.
+// The removal is then published (fencing new picks) and the count
+// rechecked — if a pick reserved in the window the removal rolls back
+// and the caller retries after it drains.
 func (r *Regions) Remove(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -148,6 +150,9 @@ func (r *Regions) Remove(name string) error {
 		return fmt.Errorf("router: unknown region %q", name)
 	}
 	e := old.slots[i].e
+	if n := e.inflight.Load(); n != 0 {
+		return fmt.Errorf("router: region %q has %d calls in flight", name, n)
+	}
 	slots := r.rebuild()
 	r.publish(append(slots[:i:i], slots[i+1:]...))
 	if n := e.inflight.Load(); n != 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"accelcloud/internal/wire"
 )
@@ -14,6 +15,38 @@ import (
 // plugs in underneath post(), so the whole resilience ladder —
 // Timeout, RetryPolicy, HedgePolicy, the counters — composes with it
 // unchanged.
+
+// method describes one typed client call: its HTTP path and, for the
+// calls the binary transport carries, the request frame it travels in
+// and how its reply is decoded. Requests and responses stay typed from
+// the public method down to the codec, so no call boxes them.
+type method[Req, Resp any] struct {
+	path string
+	// ftype and flags select the request frame; reply is the frame
+	// type a successful answer arrives in.
+	ftype, flags, reply byte
+	// encode is nil for calls the binary transport does not carry.
+	encode func(dst []byte, req Req) []byte
+	decode func(payload []byte) (Resp, error)
+}
+
+var (
+	offloadMethod = &method[OffloadRequest, OffloadResponse]{
+		path: PathOffload, ftype: wire.FrameRequest, flags: wire.MethodOffload, reply: wire.FrameResponse,
+		encode: wire.AppendOffloadRequest, decode: wire.DecodeOffloadResponse,
+	}
+	executeMethod = &method[ExecuteRequest, ExecuteResponse]{
+		path: PathExecute, ftype: wire.FrameRequest, flags: wire.MethodExecute, reply: wire.FrameResponse,
+		encode: wire.AppendExecuteRequest, decode: wire.DecodeExecuteResponse,
+	}
+	offloadBatchMethod = &method[BatchRequest, BatchResponse]{
+		path: PathOffloadBatch, ftype: wire.FrameBatch, reply: wire.FrameBatch,
+		encode: wire.AppendBatchRequest, decode: wire.DecodeBatchResponse,
+	}
+	// Over bin://, ExecuteBatch fans out as single execute frames, so
+	// its batch form is JSON only.
+	executeBatchMethod = &method[ExecuteBatchRequest, ExecuteBatchResponse]{path: PathExecuteBatch}
+)
 
 // wireClient lazily builds the framed-protocol client for a bin://
 // BaseURL. The wire.Client redials transparently, so one rpc.Client
@@ -31,75 +64,50 @@ func (c *Client) wireClient() (*wire.Client, error) {
 	return c.bin, c.binErr
 }
 
+// frameBufs recycles request encode buffers. A buffer is free again
+// once wire.Conn.Call returns: the frame has been copied onto the
+// connection by then.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // binPost mirrors postJSON over the framed transport: encode the
-// request payload, send one frame, map the answering frame back to the
-// caller's out value. FrameError responses become *StatusError with
-// the same HTTP-equivalent code the JSON compat mode would have
-// produced, so the retry budget and the callers classify failures
-// identically on both transports.
-func (c *Client) binPost(ctx context.Context, path string, in, out any) error {
+// request payload into a pooled buffer, send one frame, decode the
+// answering frame. FrameError responses become *StatusError with the
+// same HTTP-equivalent code the JSON compat mode would have produced,
+// so the retry budget and the callers classify failures identically on
+// both transports. The decoded response aliases the reply frame, which
+// no one else holds.
+func binPost[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], in Req) (Resp, error) {
+	var zero Resp
 	bc, err := c.wireClient()
 	if err != nil {
-		return err
+		return zero, err
 	}
-	var (
-		ftype, flags byte
-		payload      []byte
-	)
-	switch req := in.(type) {
-	case OffloadRequest:
-		ftype, flags = wire.FrameRequest, wire.MethodOffload
-		payload = wire.AppendOffloadRequest(nil, req)
-	case ExecuteRequest:
-		ftype, flags = wire.FrameRequest, wire.MethodExecute
-		payload = wire.AppendExecuteRequest(nil, req)
-	case BatchRequest:
-		ftype, flags = wire.FrameBatch, 0
-		payload = wire.AppendBatchRequest(nil, req)
-	default:
-		return fmt.Errorf("rpc: no binary encoding for %T (path %s)", in, path)
+	if m.encode == nil {
+		return zero, fmt.Errorf("rpc: no binary encoding for %T (path %s)", in, m.path)
 	}
-	f, err := bc.Call(ctx, ftype, flags, payload)
+	bp := frameBufs.Get().(*[]byte)
+	*bp = m.encode((*bp)[:0], in)
+	f, err := bc.Call(ctx, m.ftype, m.flags, *bp)
+	if cap(*bp) <= maxPooledBufBytes {
+		frameBufs.Put(bp)
+	}
 	if err != nil {
-		return fmt.Errorf("rpc: %s: %w", path, err)
+		return zero, fmt.Errorf("rpc: %s: %w", m.path, err)
 	}
 	switch f.Type {
 	case wire.FrameError:
 		e, derr := wire.DecodeErrorFrame(f.Payload)
 		if derr != nil {
-			return fmt.Errorf("rpc: %s: undecodable error frame: %w", path, derr)
+			return zero, fmt.Errorf("rpc: %s: undecodable error frame: %w", m.path, derr)
 		}
-		return fmt.Errorf("rpc: %s: %w", path, &StatusError{Code: e.Code, Body: e.Message})
-	case wire.FrameResponse:
-		switch resp := out.(type) {
-		case *OffloadResponse:
-			v, derr := wire.DecodeOffloadResponse(f.Payload)
-			if derr != nil {
-				return fmt.Errorf("rpc: decode response: %w", derr)
-			}
-			*resp = v
-		case *ExecuteResponse:
-			v, derr := wire.DecodeExecuteResponse(f.Payload)
-			if derr != nil {
-				return fmt.Errorf("rpc: decode response: %w", derr)
-			}
-			*resp = v
-		default:
-			return fmt.Errorf("rpc: no binary decoding for %T (path %s)", out, path)
-		}
-		return nil
-	case wire.FrameBatch:
-		resp, ok := out.(*BatchResponse)
-		if !ok {
-			return fmt.Errorf("rpc: batch frame answering non-batch call (path %s)", path)
-		}
-		v, derr := wire.DecodeBatchResponse(f.Payload)
+		return zero, fmt.Errorf("rpc: %s: %w", m.path, &StatusError{Code: e.Code, Body: e.Message})
+	case m.reply:
+		v, derr := m.decode(f.Payload)
 		if derr != nil {
-			return fmt.Errorf("rpc: decode batch response: %w", derr)
+			return zero, fmt.Errorf("rpc: decode response: %w", derr)
 		}
-		*resp = v
-		return nil
+		return v, nil
 	default:
-		return fmt.Errorf("rpc: %s: unexpected frame type %d", path, f.Type)
+		return zero, fmt.Errorf("rpc: %s: unexpected frame type %d", m.path, f.Type)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"reflect"
 	"strings"
 	"sync"
 	"time"
@@ -173,16 +172,18 @@ func IsUnavailable(err error) bool {
 // enough that the retry lands while the re-route window is open.
 const queueFullBackoff = time.Millisecond
 
-// attempts runs post under the client's retry budget. out is only
-// written by a successful decode, so a failed attempt never leaves a
-// half-decoded response behind.
-func (c *Client) attempts(ctx context.Context, path string, in, out any) error {
+// attempts runs post under the client's retry budget. A failed
+// attempt returns the zero response, so no half-decoded value survives.
+func attempts[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], in Req) (Resp, error) {
 	p := c.Retry
 	budget := 1
 	if p != nil && p.MaxAttempts > 1 {
 		budget = p.MaxAttempts
 	}
-	var err error
+	var (
+		out Resp
+		err error
+	)
 	for attempt := 0; attempt < budget; attempt++ {
 		if attempt > 0 {
 			wait := p.backoff(attempt - 1)
@@ -194,52 +195,52 @@ func (c *Client) attempts(ctx context.Context, path string, in, out any) error {
 			}
 			select {
 			case <-ctx.Done():
-				return err
+				return out, err
 			case <-time.After(wait):
 			}
 			// Counted only once the backoff survives the context: a
 			// call cancelled mid-wait never re-sent anything.
 			c.retries.Add(1)
 		}
-		err = c.post(ctx, path, in, out)
+		out, err = post(ctx, c, m, in)
 		if err == nil {
-			return nil
+			return out, nil
 		}
 		if !retryable(err) || ctx.Err() != nil {
-			return err
+			return out, err
 		}
 	}
-	return err
+	return out, err
 }
 
 // call is the resilient entry point every client method funnels
 // through: it bounds the whole call (retries and hedges included) with
 // the configured deadline, then runs the retry budget — hedged with a
 // delayed second lane when a HedgePolicy is set.
-func (c *Client) call(ctx context.Context, path string, in, out any) error {
+func call[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], in Req) (Resp, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
 	if c.Hedge == nil || c.Hedge.Delay <= 0 {
-		return c.attempts(ctx, path, in, out)
+		return attempts(ctx, c, m, in)
 	}
-	return c.hedged(ctx, path, in, out)
+	return hedged(ctx, c, m, in)
 }
 
 // hedged races a primary attempt chain against a second one launched
-// after the hedge delay. Each lane decodes into its own value so the
-// lanes never share out; the winner's value is copied into out.
-func (c *Client) hedged(ctx context.Context, path string, in, out any) error {
+// after the hedge delay. Each lane returns its own response value, so
+// the lanes never share one; the winner's is returned.
+func hedged[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], in Req) (Resp, error) {
 	lctx, lcancel := context.WithCancel(ctx)
 	defer lcancel()
 	type lane struct {
-		out   any
+		out   Resp
 		err   error
 		hedge bool
 	}
 	results := make(chan lane, 2)
 	run := func(hedge bool) {
-		o := reflect.New(reflect.TypeOf(out).Elem()).Interface()
-		results <- lane{out: o, err: c.attempts(lctx, path, in, o), hedge: hedge}
+		out, err := attempts(lctx, c, m, in)
+		results <- lane{out: out, err: err, hedge: hedge}
 	}
 	go run(false)
 	timer := time.NewTimer(c.Hedge.Delay)
@@ -268,10 +269,9 @@ func (c *Client) hedged(ctx context.Context, path string, in, out any) error {
 				if l.hedge && !primaryResolved {
 					c.hedgeWins.Add(1)
 				}
-				reflect.ValueOf(out).Elem().Set(reflect.ValueOf(l.out).Elem())
 				// The losing lane is cancelled by the deferred lcancel
 				// and drains into the buffered channel.
-				return nil
+				return l.out, nil
 			}
 			if firstErr == nil {
 				firstErr = l.err
@@ -281,7 +281,8 @@ func (c *Client) hedged(ctx context.Context, path string, in, out any) error {
 				// failed before the hedge delay fired — its retries
 				// already consumed the budget, so a hedge would only
 				// repeat the same failure.
-				return firstErr
+				var zero Resp
+				return zero, firstErr
 			}
 		}
 	}

@@ -43,12 +43,13 @@ const (
 	PathStats = "/stats"
 )
 
-// MsgQueueFull is the wire-visible marker of admission-queue
-// backpressure. serve.ErrQueueFull embeds it, the front-end's 503
-// body carries it, and IsQueueFull recognizes it client-side so the
-// retry budget can re-route immediately instead of backing off as if
-// the backend had crashed.
-const MsgQueueFull = "admission queue full"
+// MsgQueueFull is the wire-visible marker of backpressure, defined
+// once in internal/wire. serve.ErrQueueFull embeds it, the front-end's
+// 503 body and a binary server's worker-set-full error frame carry it,
+// and IsQueueFull recognizes it client-side so the retry budget can
+// re-route immediately instead of backing off as if the backend had
+// crashed.
+const MsgQueueFull = wire.MsgQueueFull
 
 // ErrQueueFull is the in-process sentinel behind the marker:
 // serve.ErrQueueFull wraps it, so IsQueueFull classifies local
@@ -323,27 +324,28 @@ func (r *payloadReader) Close() error {
 // otherwise the request is marshaled as JSON into a pooled buffer that
 // is recycled once the HTTP transport releases it — on the front-end's
 // proxy hop this runs once per offloaded request.
-func (c *Client) post(ctx context.Context, path string, in, out any) error {
+func post[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], in Req) (Resp, error) {
 	if c.binary() {
-		return c.binPost(ctx, path, in, out)
+		return binPost(ctx, c, m, in)
 	}
-	return c.postJSON(ctx, path, in, out)
+	return postJSON[Req, Resp](ctx, c, m.path, in)
 }
 
 // binary reports whether the client speaks the framed protocol.
 func (c *Client) binary() bool { return strings.HasPrefix(c.BaseURL, BinaryScheme) }
 
-func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
+func postJSON[Req, Resp any](ctx context.Context, c *Client, path string, in Req) (Resp, error) {
+	var out Resp
 	buf := getEncodeBuf()
 	payload := &pooledPayload{buf: buf}
 	payload.refs.Store(1) // post's own reference, released on return
 	defer payload.release()
 	if err := json.NewEncoder(buf).Encode(in); err != nil {
-		return fmt.Errorf("rpc: marshal request: %w", err)
+		return out, fmt.Errorf("rpc: marshal request: %w", err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		return fmt.Errorf("rpc: build request: %w", err)
+		return out, fmt.Errorf("rpc: build request: %w", err)
 	}
 	// Replace the plain reader with counted ones: the transport closes
 	// every body it is handed (initial and GetBody replays alike), so
@@ -354,7 +356,7 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return fmt.Errorf("rpc: %s: %w", path, err)
+		return out, fmt.Errorf("rpc: %s: %w", path, err)
 	}
 	defer func() {
 		// Draining the body lets the transport reuse the connection.
@@ -363,13 +365,14 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 	}()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("rpc: %s: %w", path,
+		return out, fmt.Errorf("rpc: %s: %w", path,
 			&StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))})
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(out); err != nil {
-		return fmt.Errorf("rpc: decode response: %w", err)
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&out); err != nil {
+		var zero Resp
+		return zero, fmt.Errorf("rpc: decode response: %w", err)
 	}
-	return nil
+	return out, nil
 }
 
 // Offload sends an offloading request to a front-end. Under a retry or
@@ -382,8 +385,8 @@ func (c *Client) Offload(ctx context.Context, req OffloadRequest) (OffloadRespon
 		return OffloadResponse{}, err
 	}
 	c.stampIdemKey(&req)
-	var resp OffloadResponse
-	if err := c.call(ctx, PathOffload, req, &resp); err != nil {
+	resp, err := call(ctx, c, offloadMethod, req)
+	if err != nil {
 		return OffloadResponse{}, err
 	}
 	if resp.Error != "" {
@@ -414,8 +417,8 @@ func (c *Client) OffloadBatch(ctx context.Context, calls []OffloadRequest) ([]Ba
 		}
 		c.stampIdemKey(&batch.Calls[i])
 	}
-	var resp BatchResponse
-	if err := c.call(ctx, PathOffloadBatch, batch, &resp); err != nil {
+	resp, err := call(ctx, c, offloadBatchMethod, batch)
+	if err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(calls) {
@@ -443,8 +446,8 @@ func (c *Client) stampIdemKey(req *OffloadRequest) {
 
 // Execute sends a state directly to a surrogate.
 func (c *Client) Execute(ctx context.Context, req ExecuteRequest) (ExecuteResponse, error) {
-	var resp ExecuteResponse
-	if err := c.call(ctx, PathExecute, req, &resp); err != nil {
+	resp, err := call(ctx, c, executeMethod, req)
+	if err != nil {
 		return ExecuteResponse{}, err
 	}
 	if resp.Error != "" {
@@ -482,8 +485,8 @@ func (c *Client) ExecuteBatch(ctx context.Context, reqs []ExecuteRequest) ([]Exe
 		wg.Wait()
 		return resps, nil
 	}
-	var out ExecuteBatchResponse
-	if err := c.call(ctx, PathExecuteBatch, ExecuteBatchRequest{Calls: reqs}, &out); err != nil {
+	out, err := call(ctx, c, executeBatchMethod, ExecuteBatchRequest{Calls: reqs})
+	if err != nil {
 		return nil, err
 	}
 	if len(out.Results) != len(reqs) {

@@ -128,14 +128,23 @@ func (c *Conn) writeFrame(f Frame) error {
 	return c.bw.Flush()
 }
 
+// replyChans recycles the one-slot channels calls wait on. A channel
+// goes back only after its call received the reply frame: by then the
+// read loop has removed it from pending and sent its one value, so
+// nothing else can touch it. Channels of abandoned calls (the read loop
+// may still send) and of failed connections (closed) are dropped.
+var replyChans = sync.Pool{New: func() any { return make(chan Frame, 1) }}
+
 // Call sends one frame and waits for the frame answering its stream
 // id. The frame's StreamID is assigned here; Type, Flags, and Payload
-// come from the caller. On context cancellation the stream is
-// abandoned (a late response is dropped by the read loop) and the
-// context error returned.
+// come from the caller. The payload is copied onto the wire before
+// Call returns, so the caller may reuse it afterwards; the returned
+// frame's payload is a fresh buffer the caller owns. On context
+// cancellation the stream is abandoned (a late response is dropped by
+// the read loop) and the context error returned.
 func (c *Conn) Call(ctx context.Context, ftype, flags byte, payload []byte) (Frame, error) {
 	id := c.nextID.Add(1)
-	ch := make(chan Frame, 1)
+	ch := replyChans.Get().(chan Frame)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -165,6 +174,7 @@ func (c *Conn) Call(ctx context.Context, ftype, flags byte, payload []byte) (Fra
 			}
 			return Frame{}, err
 		}
+		replyChans.Put(ch)
 		return f, nil
 	case <-ctx.Done():
 		c.mu.Lock()

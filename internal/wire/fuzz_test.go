@@ -2,9 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"math"
+	"net"
+	"net/http"
 	"reflect"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"accelcloud/internal/tasks"
 )
@@ -113,6 +121,103 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 		} else if !bytes.Equal(got.State.Data, data) {
 			t.Fatalf("data changed: %x -> %x", data, got.State.Data)
+		}
+	})
+}
+
+// pipeListener hands connections made with net.Pipe to Server.Serve.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// FuzzServeConn feeds arbitrary byte streams — valid frames, batch
+// frames, garbage, truncations — into a Server over net.Pipe, closing
+// the pipe after a fuzzed prefix. The server must never panic, and once
+// the connection and the server are closed every goroutine it started
+// (read loop, workers, batch calls) must have exited.
+func FuzzServeConn(f *testing.F) {
+	names := make([]string, 0, len(goldenFrames()))
+	for name := range goldenFrames() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var all []byte
+	for _, name := range names {
+		all = AppendFrame(all, goldenFrames()[name])
+	}
+	calls := make([]OffloadRequest, 5)
+	for i := range calls {
+		calls[i] = canonicalOffloadRequest()
+	}
+	batch := AppendFrame(nil, Frame{Type: FrameBatch, StreamID: 7,
+		Payload: AppendBatchRequest(nil, BatchRequest{Calls: calls})})
+	batches := append(append(append([]byte(nil), batch...), batch...), all...)
+	f.Add(all, uint(len(all)))
+	f.Add(all, uint(len(all)/2))
+	f.Add(batches, uint(len(batches)))
+	f.Add(batches, uint(len(batch)+3))
+	f.Add([]byte{0x05, 0xff, 0xff, 0xff, 0xff, 0xff}, uint(6))
+	f.Add([]byte{0xff, 0xff, 0x03}, uint(3))
+	f.Fuzz(func(t *testing.T, stream []byte, cut uint) {
+		base := runtime.NumGoroutine()
+		srv := &Server{MaxFrame: 1 << 16, H: Handlers{
+			Offload: func(ctx context.Context, req OffloadRequest) (OffloadResponse, int) {
+				return OffloadResponse{Result: tasks.Result{Task: req.State.Task, Data: req.State.Data}}, http.StatusOK
+			},
+			Execute: func(ctx context.Context, req ExecuteRequest) ExecuteResponse {
+				return ExecuteResponse{Result: tasks.Result{Task: req.State.Task}}
+			},
+		}}
+		lis := newPipeListener()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			_ = srv.Serve(lis)
+		}()
+		client, server := net.Pipe()
+		lis.conns <- server
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			_, _ = io.Copy(io.Discard, client)
+		}()
+		// The server may hang up early on a bad frame; the write then
+		// fails, which is fine.
+		_, _ = client.Write(stream[:cut%uint(len(stream)+1)])
+		_ = client.Close()
+		<-drained
+		_ = srv.Close()
+		<-served
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("goroutines did not return to baseline %d (now %d):\n%s",
+					base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(time.Millisecond)
 		}
 	})
 }

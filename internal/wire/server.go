@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 )
 
 // Handlers are the application callbacks a Server dispatches to.
@@ -25,10 +26,36 @@ type Handlers struct {
 	Execute func(ctx context.Context, req ExecuteRequest) ExecuteResponse
 }
 
+// MaxConnWorkers bounds the goroutines serving one connection's
+// frames (dalvik.DefaultMaxProcs, so one connection can keep a default
+// surrogate fully busy). Workers start lazily, park between frames, and
+// exit when the connection ends.
+const MaxConnWorkers = 256
+
+// maxScratch caps the encode buffer a worker or connection writer keeps
+// between frames, so one large response does not stay pinned for the
+// connection's lifetime.
+const maxScratch = 64 << 10
+
+// msgWorkersBusy is the body of the 503 error frame answering a frame
+// that finds every worker busy. It embeds MsgQueueFull, so clients
+// treat it as backpressure (fast re-route retry), not as a crash.
+const msgWorkersBusy = "wire: connection workers busy: " + MsgQueueFull
+
 // Server accepts binary protocol connections and dispatches frames.
-// Each request frame is served on its own goroutine, so slow calls
-// never block other streams on the same connection; responses are
-// written under a per-connection mutex.
+// Each connection serves its frames on at most MaxConnWorkers workers,
+// so slow calls never block other streams on the same connection and
+// no connection can fan out without bound. A frame that arrives while
+// every worker is busy is answered at once with a 503 error frame
+// carrying MsgQueueFull, and the connection stays open. The calls of a
+// batch frame draw on the same workers, running on the dispatching
+// worker when none is free. Ping frames are answered by the read loop.
+// Responses are written under a per-connection mutex.
+//
+// Buffers: decoded request fields (State.Data and the like) alias the
+// frame body the read loop allocated for that frame, so a handler may
+// keep them. Each worker encodes its responses into its own reused
+// scratch buffer.
 type Server struct {
 	// H holds the application callbacks; a nil callback rejects the
 	// corresponding method with a 501 error frame.
@@ -113,10 +140,101 @@ func (w *connWriter) write(f Frame) error {
 	defer w.mu.Unlock()
 	var err error
 	w.wbuf, err = WriteFrame(w.nc, w.wbuf, f)
+	if cap(w.wbuf) > maxScratch {
+		w.wbuf = nil
+	}
 	return err
 }
 
+// writeError sends a FrameError, encoding its payload into buf, and
+// returns buf for reuse. Write errors are ignored: the read loop will
+// observe the broken connection and tear it down.
+func (w *connWriter) writeError(buf []byte, stream uint64, code int, msg string) []byte {
+	buf = AppendErrorFrame(buf[:0], ErrorFrame{Code: code, Message: msg})
+	_ = w.write(Frame{Type: FrameError, StreamID: stream, Payload: buf})
+	return buf
+}
+
+// conn is one served connection: its writer and its worker set.
+type conn struct {
+	h    *Handlers
+	ctx  context.Context
+	w    connWriter
+	jobs chan job // unbuffered: a send succeeds only to a parked worker
+	// started counts workers ever started; workers run until ctx ends,
+	// so it never exceeds MaxConnWorkers.
+	started atomic.Int32
+	wg      sync.WaitGroup
+}
+
+// job is one unit of work for a worker: an inbound frame, or call i of
+// a batch being dispatched by another worker.
+type job struct {
+	f     Frame
+	batch *batchRun
+	i     int
+}
+
+// batchRun is one batch frame's calls and their ordered results.
+type batchRun struct {
+	calls   []OffloadRequest
+	results []BatchResult
+	wg      sync.WaitGroup
+}
+
+// serve runs call i and records its result.
+func (b *batchRun) serve(ctx context.Context, h *Handlers, i int) {
+	defer b.wg.Done()
+	resp, code := h.Offload(ctx, b.calls[i])
+	if code == 0 {
+		code = http.StatusOK
+	}
+	b.results[i] = BatchResult{Code: code, Resp: resp}
+}
+
+// handOff gives j to a parked worker, or to a newly started one while
+// the connection is under MaxConnWorkers. It reports false when every
+// worker is busy.
+func (c *conn) handOff(j job) bool {
+	select {
+	case c.jobs <- j:
+		return true
+	default:
+	}
+	for {
+		n := c.started.Load()
+		if n >= MaxConnWorkers {
+			return false
+		}
+		if c.started.CompareAndSwap(n, n+1) {
+			break
+		}
+	}
+	c.wg.Add(1)
+	go c.worker(j)
+	return true
+}
+
+// worker runs jobs until the connection's context ends, encoding
+// responses into a scratch buffer it keeps across jobs.
+func (c *conn) worker(j job) {
+	defer c.wg.Done()
+	var scratch []byte
+	for {
+		scratch = c.run(j, scratch)
+		if cap(scratch) > maxScratch {
+			scratch = nil
+		}
+		select {
+		case j = <-c.jobs:
+		case <-c.ctx.Done():
+			return
+		}
+	}
+}
+
 func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
+	c := &conn{h: &s.H, ctx: ctx, w: connWriter{nc: nc}, jobs: make(chan job)}
 	defer func() {
 		s.mu.Lock()
 		if cancel, ok := s.conns[nc]; ok {
@@ -125,12 +243,15 @@ func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
 		}
 		s.mu.Unlock()
 		_ = nc.Close()
+		// The context is cancelled (here or by Close), so parked
+		// workers exit and busy ones finish their current call.
+		c.wg.Wait()
 	}()
 	if tc, ok := nc.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
 	br := bufio.NewReaderSize(nc, 64<<10)
-	w := &connWriter{nc: nc}
+	var scratch []byte
 	for {
 		f, err := ReadFrame(br, s.MaxFrame)
 		if err != nil {
@@ -139,100 +260,92 @@ func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
 			// connection. A clean EOF or cancelled context just ends.
 			if ctx.Err() == nil && err != io.EOF &&
 				(errors.Is(err, ErrBadFrame) || errors.Is(err, ErrFrameTooLarge)) {
-				_ = w.write(errorFrame(0, http.StatusBadRequest, err.Error()))
+				c.w.writeError(scratch, 0, http.StatusBadRequest, err.Error())
 			}
 			return
 		}
-		go s.dispatch(ctx, w, f)
+		if f.Type == FrameRequest && f.Flags&methodMask == MethodPing {
+			// Liveness is the connection's, not the workers': a ping
+			// is answered even when every worker is busy.
+			_ = c.w.write(Frame{Type: FrameResponse, StreamID: f.StreamID})
+			continue
+		}
+		if !c.handOff(job{f: f}) {
+			scratch = c.w.writeError(scratch, f.StreamID, http.StatusServiceUnavailable, msgWorkersBusy)
+		}
 	}
 }
 
-// errorFrame builds a FrameError response.
-func errorFrame(stream uint64, code int, msg string) Frame {
-	return Frame{
-		Type:     FrameError,
-		StreamID: stream,
-		Payload:  AppendErrorFrame(nil, ErrorFrame{Code: code, Message: msg}),
+// run serves one job, encoding any response into buf, and returns buf
+// for reuse. Write errors are ignored: the read loop will observe the
+// broken connection and tear it down.
+func (c *conn) run(j job, buf []byte) []byte {
+	if j.batch != nil {
+		j.batch.serve(c.ctx, c.h, j.i)
+		return buf
 	}
-}
-
-// dispatch serves one inbound frame. Write errors are ignored: the
-// read loop will observe the broken connection and tear it down.
-func (s *Server) dispatch(ctx context.Context, w *connWriter, f Frame) {
+	f := j.f
 	switch f.Type {
 	case FrameRequest:
 		switch f.Flags & methodMask {
-		case MethodPing:
-			_ = w.write(Frame{Type: FrameResponse, StreamID: f.StreamID})
 		case MethodOffload:
-			if s.H.Offload == nil {
-				_ = w.write(errorFrame(f.StreamID, http.StatusNotImplemented, "wire: offload not served here"))
-				return
+			if c.h.Offload == nil {
+				return c.w.writeError(buf, f.StreamID, http.StatusNotImplemented, "wire: offload not served here")
 			}
 			req, err := DecodeOffloadRequest(f.Payload)
 			if err != nil {
-				_ = w.write(errorFrame(f.StreamID, http.StatusBadRequest, err.Error()))
-				return
+				return c.w.writeError(buf, f.StreamID, http.StatusBadRequest, err.Error())
 			}
-			resp, code := s.H.Offload(ctx, req)
+			resp, code := c.h.Offload(c.ctx, req)
 			if code != 0 && code != http.StatusOK {
-				_ = w.write(errorFrame(f.StreamID, code, resp.Error))
-				return
+				return c.w.writeError(buf, f.StreamID, code, resp.Error)
 			}
-			_ = w.write(Frame{Type: FrameResponse, StreamID: f.StreamID, Payload: AppendOffloadResponse(nil, resp)})
+			buf = AppendOffloadResponse(buf[:0], resp)
+			_ = c.w.write(Frame{Type: FrameResponse, StreamID: f.StreamID, Payload: buf})
 		case MethodExecute:
-			if s.H.Execute == nil {
-				_ = w.write(errorFrame(f.StreamID, http.StatusNotImplemented, "wire: execute not served here"))
-				return
+			if c.h.Execute == nil {
+				return c.w.writeError(buf, f.StreamID, http.StatusNotImplemented, "wire: execute not served here")
 			}
 			req, err := DecodeExecuteRequest(f.Payload)
 			if err != nil {
-				_ = w.write(errorFrame(f.StreamID, http.StatusBadRequest, err.Error()))
-				return
+				return c.w.writeError(buf, f.StreamID, http.StatusBadRequest, err.Error())
 			}
-			resp := s.H.Execute(ctx, req)
-			_ = w.write(Frame{Type: FrameResponse, StreamID: f.StreamID, Payload: AppendExecuteResponse(nil, resp)})
+			resp := c.h.Execute(c.ctx, req)
+			buf = AppendExecuteResponse(buf[:0], resp)
+			_ = c.w.write(Frame{Type: FrameResponse, StreamID: f.StreamID, Payload: buf})
 		}
 	case FrameBatch:
 		if f.Flags&FlagBatchResponse != 0 {
-			_ = w.write(errorFrame(f.StreamID, http.StatusBadRequest, "wire: batch response frame sent to server"))
-			return
+			return c.w.writeError(buf, f.StreamID, http.StatusBadRequest, "wire: batch response frame sent to server")
 		}
-		if s.H.Offload == nil {
-			_ = w.write(errorFrame(f.StreamID, http.StatusNotImplemented, "wire: offload not served here"))
-			return
+		if c.h.Offload == nil {
+			return c.w.writeError(buf, f.StreamID, http.StatusNotImplemented, "wire: offload not served here")
 		}
 		batch, err := DecodeBatchRequest(f.Payload)
 		if err != nil {
-			_ = w.write(errorFrame(f.StreamID, http.StatusBadRequest, err.Error()))
-			return
+			return c.w.writeError(buf, f.StreamID, http.StatusBadRequest, err.Error())
 		}
 		// Fan the chain out per call: every call takes its own trip
 		// through the router, so the data plane's accounting is
-		// identical whether calls arrive alone or chained.
-		results := make([]BatchResult, len(batch.Calls))
-		var wg sync.WaitGroup
-		for i, call := range batch.Calls {
-			wg.Add(1)
-			go func(i int, call OffloadRequest) {
-				defer wg.Done()
-				resp, code := s.H.Offload(ctx, call)
-				if code == 0 {
-					code = http.StatusOK
-				}
-				results[i] = BatchResult{Code: code, Resp: resp}
-			}(i, call)
+		// identical whether calls arrive alone or chained. Calls go to
+		// free workers; one that finds none, and the last one, run
+		// here, so a batch stays inside the worker bound and never
+		// waits on a worker that cannot start.
+		b := &batchRun{calls: batch.Calls, results: make([]BatchResult, len(batch.Calls))}
+		last := len(b.calls) - 1
+		for i := range b.calls {
+			b.wg.Add(1)
+			if i == last || !c.handOff(job{batch: b, i: i}) {
+				b.serve(c.ctx, c.h, i)
+			}
 		}
-		wg.Wait()
-		_ = w.write(Frame{
-			Type:     FrameBatch,
-			Flags:    FlagBatchResponse,
-			StreamID: f.StreamID,
-			Payload:  AppendBatchResponse(nil, BatchResponse{Results: results}),
-		})
+		b.wg.Wait()
+		buf = AppendBatchResponse(buf[:0], BatchResponse{Results: b.results})
+		_ = c.w.write(Frame{Type: FrameBatch, Flags: FlagBatchResponse, StreamID: f.StreamID, Payload: buf})
 	default:
 		// FrameResponse / FrameError have no meaning inbound on a
 		// server; answer with a protocol error on the same stream.
-		_ = w.write(errorFrame(f.StreamID, http.StatusBadRequest, "wire: unexpected frame type from client"))
+		return c.w.writeError(buf, f.StreamID, http.StatusBadRequest, "wire: unexpected frame type from client")
 	}
+	return buf
 }

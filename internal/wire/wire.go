@@ -27,6 +27,23 @@
 //	                HTTP-equivalent status code so the JSON compat mode
 //	                and the binary mode classify errors identically
 //
+// # Serving and buffer ownership
+//
+// A Server serves each connection's frames on at most MaxConnWorkers
+// workers, started on demand and kept until the connection ends. A frame
+// that finds every worker busy is answered at once with a 503 FrameError
+// whose message carries MsgQueueFull, so the client takes its
+// backpressure path (re-route retry, spillover); the connection stays
+// open. A batch frame's calls draw on the same workers and run on the
+// dispatching worker when none is free, so neither single frames nor
+// batches fan out past the bound.
+//
+// Buffers follow two rules. A Call payload is copied onto the
+// connection before Call returns, so the caller may reuse it at once.
+// Decoded messages do not copy: their byte fields (State.Data,
+// Result.Data) alias the frame body, which ReadFrame allocates for each
+// frame and no one else reuses.
+//
 // The decoder is strict: unknown versions, types, or flag bits are
 // rejected, declared lengths are capped before any allocation happens,
 // and payloads are sub-sliced rather than copied, so adversarial input
@@ -80,6 +97,14 @@ const DefaultMaxFrame = 16 << 20
 // be split, keeping a single frame's fan-out (and the memory one
 // malicious frame can pin) bounded.
 const MaxBatchCalls = 1024
+
+// MsgQueueFull marks backpressure in an error body. A Server answers a
+// frame that finds every connection worker busy with a 503 error frame
+// carrying it, and the serving layer's admission queues embed it in
+// their rejections; rpc.IsQueueFull recognizes it client-side, so the
+// retry budget re-routes at once instead of backing off as if the peer
+// had crashed.
+const MsgQueueFull = "admission queue full"
 
 // Decode errors. ErrFrameTooLarge and ErrShortFrame are distinct so a
 // stream reader can tell "wait for more bytes" from "protocol
